@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,10 +30,18 @@ std::string EnvName(const std::string& flag) {
   std::exit(2);
 }
 
+[[noreturn]] void BadValue(const std::string& program, const std::string& name,
+                           const std::string& value, const char* expected) {
+  std::fprintf(stderr, "%s: --%s expects %s, got '%s'\n", program.c_str(),
+               name.c_str(), expected, value.c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 Flags Flags::Parse(int argc, char** argv) {
   Flags flags;
+  if (argc > 0) flags.program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--", 2) != 0) Usage(argv[0], arg);
@@ -60,14 +71,34 @@ const std::string* Flags::Lookup(const std::string& name) const {
   return nullptr;
 }
 
+// Both getters reject leading whitespace (strto* would skip it), trailing
+// characters, and ERANGE, so a value is used only when all of it was read.
 int64_t Flags::GetInt(const std::string& name, int64_t def) const {
   const std::string* v = Lookup(name);
-  return v == nullptr ? def : std::strtoll(v->c_str(), nullptr, 10);
+  if (v == nullptr) return def;
+  const char* begin = v->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(begin, &end, 10);
+  if (v->empty() || std::isspace(static_cast<unsigned char>(*begin)) ||
+      *end != '\0' || errno == ERANGE) {
+    BadValue(program_, name, *v, "a 64-bit integer");
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double def) const {
   const std::string* v = Lookup(name);
-  return v == nullptr ? def : std::strtod(v->c_str(), nullptr);
+  if (v == nullptr) return def;
+  const char* begin = v->c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(begin, &end);
+  if (v->empty() || std::isspace(static_cast<unsigned char>(*begin)) ||
+      *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    BadValue(program_, name, *v, "a finite number");
+  }
+  return value;
 }
 
 std::string Flags::GetString(const std::string& name,

@@ -15,12 +15,16 @@ namespace relmax {
 /// `RELMAX_<NAME>` (upper-cased, dashes to underscores); explicit flags win.
 class Flags {
  public:
-  /// Parses argv. Aborts with a usage message on malformed input.
+  /// Parses argv. Exits with status 2 and a usage message on malformed
+  /// input.
   static Flags Parse(int argc, char** argv);
 
-  /// Integer flag with default.
+  /// Integer flag with default. The whole value must parse as a base-10
+  /// int64; anything else (`abc`, `12x`, out of range) exits with status 2
+  /// and a message naming the flag.
   int64_t GetInt(const std::string& name, int64_t def) const;
-  /// Floating-point flag with default.
+  /// Floating-point flag with default. The whole value must parse as a
+  /// finite double; anything else exits with status 2 like GetInt.
   double GetDouble(const std::string& name, double def) const;
   /// String flag with default.
   std::string GetString(const std::string& name, const std::string& def) const;
@@ -33,6 +37,8 @@ class Flags {
   // Returns flag value, env value, or nullptr.
   const std::string* Lookup(const std::string& name) const;
 
+  // argv[0], named in error messages.
+  std::string program_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, std::string> env_cache_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "partition/partitioner.h"
@@ -293,58 +294,116 @@ std::vector<uint64_t> ReliabilityIndex::EqualLabelWorlds(NodeId s,
   return eq;
 }
 
-const std::vector<uint64_t>& ReliabilityIndex::SourceReach(NodeId s) {
-  const auto it = reach_cache_.find(s);
-  if (it != reach_cache_.end()) return it->second;
-  bitlane::BitMatrix reach;
-  bank_->ReachabilityFixpoint(s, /*backward=*/false, all_edges_, &reach);
-  ++stats_.reach_floods;
-  std::vector<uint64_t> flat(static_cast<size_t>(num_nodes_) * world_words_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const uint64_t* const row = reach.row(v);
-    std::copy(row, row + world_words_,
-              flat.begin() + static_cast<size_t>(v) * world_words_);
-  }
-  // FIFO eviction under the byte cap. A row larger than the whole cap is
-  // still admitted (the caller holds a reference); it is evicted next time.
-  const size_t row_bytes = flat.size() * sizeof(uint64_t);
-  while (!reach_order_.empty() &&
-         (reach_cache_.size() + 1) * row_bytes > options_.max_reach_bytes) {
-    reach_cache_.erase(reach_order_.front());
-    reach_order_.pop_front();
-    ++stats_.reach_row_evictions;
-  }
-  const auto inserted = reach_cache_.emplace(s, std::move(flat));
-  reach_order_.push_back(s);
-  stats_.reach_rows_cached = reach_cache_.size();
-  return inserted.first->second;
-}
-
 size_t ReliabilityIndex::reach_cache_bytes() const {
   return reach_cache_.size() * static_cast<size_t>(num_nodes_) *
          world_words_ * sizeof(uint64_t);
 }
 
-std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
+bool ReliabilityIndex::KnownWorlds(NodeId s, NodeId t,
+                                   std::vector<uint64_t>* worlds) const {
   RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
-  std::vector<uint64_t> eq = EqualLabelWorlds(s, t);
-  if (!directed_) return eq;
+  *worlds = EqualLabelWorlds(s, t);
+  if (!directed_) return true;
   // Same SCC in every world ⇒ mutually reachable everywhere: answer without
   // any flood. (The flood would set exactly these bits too.)
-  if (WorldView::CountBits(eq, static_cast<size_t>(num_worlds_)) ==
+  if (WorldView::CountBits(*worlds, static_cast<size_t>(num_worlds_)) ==
       num_worlds_) {
-    return eq;
+    return true;
   }
-  const std::vector<uint64_t>& rows = SourceReach(s);
-  const uint64_t* row = rows.data() + static_cast<size_t>(t) * world_words_;
-  return std::vector<uint64_t>(row, row + world_words_);
+  const auto it = reach_cache_.find(s);
+  if (it == reach_cache_.end()) return false;
+  const uint64_t* row =
+      it->second.data() + static_cast<size_t>(t) * world_words_;
+  worlds->assign(row, row + world_words_);
+  return true;
+}
+
+void ReliabilityIndex::FloodResidual(std::span<const StQuery> residual,
+                                     std::span<double> values,
+                                     const FloodObserver& observe) {
+  if (residual.empty()) return;
+  // Distinct sources in flood order (first appearance, as FloodBySource
+  // schedules them).
+  std::vector<NodeId> sources;
+  std::unordered_set<NodeId> seen;
+  for (const StQuery& q : residual) {
+    if (seen.insert(q.s).second) sources.push_back(q.s);
+  }
+  // FIFO insertion of `sources` in order would end holding the last
+  // `admit` of them behind the newest surviving old rows. Evicting the
+  // oldest rows up front keeps the cache within its cap at every moment.
+  const size_t row_words = static_cast<size_t>(num_nodes_) * world_words_;
+  const size_t cap_rows =
+      options_.max_reach_bytes / (row_words * sizeof(uint64_t));
+  const size_t admit = std::min(sources.size(), cap_rows);
+  while (reach_cache_.size() + admit > cap_rows) {
+    reach_cache_.erase(reach_order_.front());
+    reach_order_.pop_front();
+    ++stats_.reach_row_evictions;
+  }
+  for (size_t k = sources.size() - admit; k < sources.size(); ++k) {
+    reach_cache_[sources[k]].resize(row_words);
+    reach_order_.push_back(sources[k]);
+  }
+  stats_.reach_rows_cached = reach_cache_.size();
+  // Lanes only look the map up while it is not modified, and each admitted
+  // row is written by the one lane that floods its source.
+  stats_.reach_floods += FloodBySource(
+      *bank_, all_edges_, residual, options_.num_threads, values,
+      [&](NodeId source, const bitlane::BitMatrix& reach) {
+        const auto it = reach_cache_.find(source);
+        if (it != reach_cache_.end()) {
+          for (NodeId v = 0; v < num_nodes_; ++v) {
+            const uint64_t* const row = reach.row(v);
+            std::copy(row, row + world_words_,
+                      it->second.begin() +
+                          static_cast<size_t>(v) * world_words_);
+          }
+        }
+        if (observe) observe(source, reach);
+      });
+}
+
+std::vector<double> ReliabilityIndex::QueryBatch(
+    std::span<const StQuery> pairs) {
+  std::vector<double> values(pairs.size());
+  std::vector<StQuery> residual;
+  std::vector<size_t> residual_slot;
+  std::vector<uint64_t> worlds;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (KnownWorlds(pairs[i].s, pairs[i].t, &worlds)) {
+      values[i] = static_cast<double>(WorldView::CountBits(
+                      worlds, static_cast<size_t>(num_worlds_))) /
+                  num_worlds_;
+    } else {
+      residual.push_back(pairs[i]);
+      residual_slot.push_back(i);
+    }
+  }
+  std::vector<double> residual_values(residual.size());
+  FloodResidual(residual, residual_values);
+  for (size_t k = 0; k < residual.size(); ++k) {
+    values[residual_slot[k]] = residual_values[k];
+  }
+  return values;
 }
 
 double ReliabilityIndex::Query(NodeId s, NodeId t) {
-  return static_cast<double>(
-             WorldView::CountBits(ConnectedWorlds(s, t),
-                                  static_cast<size_t>(num_worlds_))) /
-         num_worlds_;
+  const StQuery pair{s, t};
+  return QueryBatch({&pair, 1})[0];
+}
+
+std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
+  std::vector<uint64_t> worlds;
+  if (KnownWorlds(s, t, &worlds)) return worlds;
+  const StQuery pair{s, t};
+  double value = 0.0;
+  FloodResidual({&pair, 1}, {&value, 1},
+                [&](NodeId, const bitlane::BitMatrix& reach) {
+                  const std::span<const uint64_t> row = reach.row_span(t);
+                  worlds.assign(row.begin(), row.end());
+                });
+  return worlds;
 }
 
 std::vector<uint64_t> ReliabilityIndex::DiffWorlds(const WorldView& old_bank,
@@ -386,11 +445,11 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldView& fresh,
   RELMAX_CHECK(affected.size() == world_words_);
   bank_ = &fresh;
   all_edges_ = fresh.AllEdges();
-  // Reach rows mix affected and unaffected worlds in one flood; rebuild them
-  // lazily rather than patching. The reach counters reset with the cache —
-  // they describe the cache since its last drop (see Stats) — so incremental
-  // stats stay comparable to a fresh build's instead of over-counting floods
-  // that served the pre-update bank.
+  // Reach rows mix affected and unaffected worlds in one flood; later
+  // batches flood them again rather than patching. The reach counters reset
+  // with the cache — they describe the cache since its last drop (see
+  // Stats) — so incremental stats stay comparable to a fresh build's instead
+  // of over-counting floods that served the pre-update bank.
   reach_cache_.clear();
   reach_order_.clear();
   stats_.reach_rows_cached = 0;

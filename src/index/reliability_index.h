@@ -14,8 +14,9 @@
 namespace relmax {
 
 /// Offline per-world connectivity index over a WorldView: answers
-/// R(s, t) = |{worlds where t is reachable from s}| / Z with **no flood at
-/// query time**.
+/// R(s, t) = |{worlds where t is reachable from s}| / Z from per-world
+/// labels. Undirected queries **never flood**; directed ones flood only for
+/// the one-way residual below.
 ///
 /// The flood-per-source engine (PR 5) pays O(E · Z/64 · passes) per distinct
 /// source; under random-pair workloads almost every query is a new source and
@@ -35,11 +36,19 @@ namespace relmax {
 /// **Directed:** per-world SCC condensation labels (iterative Tarjan per
 /// world), stored in the same bitplane layout. SCC equality gives the worlds
 /// where s and t are mutually reachable; when that covers every world the
-/// query is answered outright (R = 1). Residual one-way reachability comes
-/// from a lazily cached per-source reach row: the first query from source s
-/// runs one word-parallel flood over the bank and memoizes all n target rows,
-/// so subsequent queries from s are single-row popcounts. Rows are evicted
-/// FIFO under `Options::max_reach_bytes`.
+/// query is answered outright (R = 1). The rest, one-way reachability, is
+/// the *residual*. It is answered from per-source reach rows (all n target
+/// rows of one flood over the bank). QueryBatch answers a batch in three
+/// steps: label planes first, then rows already cached, then one flood per
+/// distinct uncached source, grouped by source and spread over
+/// `Options::num_threads` lanes (FloodBySource, the flood path's own loop).
+///
+/// **Reach-row cache:** FIFO under `Options::max_reach_bytes`, holding at
+/// most max_reach_bytes / row_bytes rows. A batch admits exactly the rows
+/// that FIFO insertion of its flooded sources, in flood order, would keep:
+/// the last cap-many. The oldest rows are evicted before the floods start,
+/// so the cache never exceeds its cap, and admitted rows are copied straight
+/// from each lane's flood. A row larger than the whole cap is never cached.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
 /// bank, bit for bit — components/SCCs and floods are exact per world, so the
@@ -77,17 +86,17 @@ class ReliabilityIndex {
     /// it, construction refuses (Fits() returns false) — callers keep the
     /// flood path instead.
     size_t max_label_bytes = size_t{128} << 20;
-    /// Cap on the directed lazy reach-row cache (n · Z bits per source).
+    /// Cap on the directed reach-row cache (n · Z bits per source).
     /// Oldest sources are evicted first.
     size_t max_reach_bytes = size_t{64} << 20;
-    /// Lanes used while (re)labeling; <= 0 means all hardware threads. The
-    /// stored bits do not depend on it.
+    /// Lanes used while (re)labeling and for residual floods; <= 0 means all
+    /// hardware threads. Neither labels nor answers depend on it.
     int num_threads = 1;
   };
 
   /// Build/maintenance accounting. builds / incremental_updates /
   /// worlds_relabeled / last_update_worlds are monotonic over the index
-  /// lifetime. The reach_* counters describe the directed lazy reach cache
+  /// lifetime. The reach_* counters describe the directed reach-row cache
   /// **since it was last dropped**: ApplyBankUpdate clears the cache (its
   /// rows mixed pre-update worlds) and resets all three, so after an
   /// incremental update they match a fresh build's counters instead of
@@ -101,7 +110,8 @@ class ReliabilityIndex {
     size_t worlds_relabeled = 0;
     /// Worlds relabeled by the most recent ApplyBankUpdate.
     size_t last_update_worlds = 0;
-    /// Directed lazy floods actually run (one per uncached source).
+    /// Directed residual floods actually run (one per distinct uncached
+    /// source of each batch).
     size_t reach_floods = 0;
     /// Directed reach rows currently cached / evicted so far.
     size_t reach_rows_cached = 0;
@@ -132,13 +142,18 @@ class ReliabilityIndex {
   /// Label-plane bytes for (num_nodes, num_samples).
   static size_t LabelBytes(NodeId num_nodes, int num_samples);
 
-  /// R(s, t): fraction of worlds where t is reachable from s. Non-const
-  /// because directed queries may populate the lazy reach cache; answers are
-  /// independent of cache state.
+  /// values[i] = R(pairs[i].s, pairs[i].t): the fraction of worlds where t
+  /// is reachable from s. Non-const because directed residual floods admit
+  /// rows into the reach cache; answers are independent of cache state and
+  /// of num_threads.
+  std::vector<double> QueryBatch(std::span<const StQuery> pairs);
+
+  /// R(s, t): QueryBatch of the one pair.
   double Query(NodeId s, NodeId t);
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
-  /// w — bit-identical to ReachabilityFixpoint over the same bank.
+  /// w — bit-identical to ReachabilityFixpoint over the same bank. Answers
+  /// like a one-pair QueryBatch, cache admission included.
   std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t);
 
   /// Relabels exactly the worlds set in `affected` (world-indexed bitset)
@@ -181,8 +196,17 @@ class ReliabilityIndex {
   // Affected bits are cleared first; other worlds' bits are untouched.
   void RelabelWorlds(const std::vector<uint64_t>& mask);
 
-  // Flat reach rows (n · world_words words) for `s`, flooding on first use.
-  const std::vector<uint64_t>& SourceReach(NodeId s);
+  // Sets *worlds to the worlds where t is reachable from s when the label
+  // planes or a cached reach row hold them; false for a directed residual
+  // pair whose source is not cached.
+  bool KnownWorlds(NodeId s, NodeId t, std::vector<uint64_t>* worlds) const;
+
+  // Answers residual pairs (sources not cached) with one flood per distinct
+  // source via FloodBySource, evicting and admitting reach rows by the FIFO
+  // rule above. `observe` also sees every flood.
+  void FloodResidual(std::span<const StQuery> residual,
+                     std::span<double> values,
+                     const FloodObserver& observe = nullptr);
 
   // OR_b(plane_b(s) XOR plane_b(t)) complemented and tail-masked: the worlds
   // where s and t carry equal labels.
@@ -199,7 +223,7 @@ class ReliabilityIndex {
   // labels_[(v * label_bits_ + b) * world_words_].
   std::vector<uint64_t> labels_;
   std::vector<EdgeId> all_edges_;
-  // Directed lazy per-source reach rows: n rows of world_words_ words, flat.
+  // Directed per-source reach rows: n rows of world_words_ words, flat.
   std::unordered_map<NodeId, std::vector<uint64_t>> reach_cache_;
   std::deque<NodeId> reach_order_;
   Stats stats_;

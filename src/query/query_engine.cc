@@ -155,6 +155,7 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
                                std::unordered_map<uint64_t, double>* resolved,
                                BatchStats* stats) {
   if (pairs.empty()) return;
+  std::vector<double> values;
   if (UseIndex()) {
     // Load-else-build-and-save: a valid file for this (graph, options) key
     // adopts the mmap-ed bank and labels with no sampling or relabeling.
@@ -168,61 +169,26 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
       index_ = std::make_unique<ReliabilityIndex>(*bank_, index_options);
       if (!options_.index_file.empty()) SaveIndexFile();
     }
-    // Every answer is a label-plane popcount (undirected / same-SCC) or a
-    // cached reach-row popcount (directed residual); all are pure functions
-    // of the bank bits, so batch order and thread count cannot matter.
-    for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] = index_->Query(q.s, q.t);
-    }
+    // Every answer is a pure function of the bank bits, so batch order and
+    // thread count cannot matter.
+    values = index_->QueryBatch(pairs);
     stats->index_answers += pairs.size();
-    return;
-  }
-  if (UseSharedWorlds()) {
+  } else if (UseSharedWorlds()) {
     EnsureBank();
-    // Group pair indices by source (first-appearance order, so the flood
-    // schedule is a pure function of the deduplicated pair list). Every
-    // value below depends only on (bank bits, source, target); the bank is
-    // thread-invariant by construction, so slot writes by pair index keep
-    // the whole batch bit-identical for any num_threads.
-    std::unordered_map<NodeId, size_t> source_slot;
-    std::vector<NodeId> sources;
-    std::vector<std::vector<size_t>> pairs_of_source;
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const auto [it, inserted] =
-          source_slot.emplace(pairs[i].s, sources.size());
-      if (inserted) {
-        sources.push_back(pairs[i].s);
-        pairs_of_source.emplace_back();
-      }
-      pairs_of_source[it->second].push_back(i);
-    }
-    std::vector<double> values(pairs.size());
-    const WorldView& bank = *bank_;
-    const int num_worlds = bank.num_worlds();
-    ForEachShard(
-        sources.size(), options_.num_threads,
-        [] { return std::make_unique<bitlane::BitMatrix>(); },
-        [&](std::unique_ptr<bitlane::BitMatrix>& reach, size_t i) {
-          // The fixpoint wipes the reused scratch itself (kClearScratch).
-          bank.ReachabilityFixpoint(sources[i], /*backward=*/false,
-                                    all_edges_, reach.get());
-          for (size_t idx : pairs_of_source[i]) {
-            values[idx] = static_cast<double>(WorldView::CountBits(
-                              reach->row_span(pairs[idx].t),
-                              static_cast<size_t>(num_worlds))) /
-                          num_worlds;
-          }
-        },
-        [](std::unique_ptr<bitlane::BitMatrix>&) {});
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      (*resolved)[PairKey(pairs[i].s, pairs[i].t)] = values[i];
-    }
-    stats->floods += sources.size();
-    return;
+    values.resize(pairs.size());
+    stats->floods += FloodBySource(*bank_, all_edges_, pairs,
+                                   options_.num_threads, values);
+  } else {
+    values = EstimatePairs(pairs, stats);
   }
-  // Per-query fallback: each pair is estimated independently, exactly the
-  // single-query public API under the same (Z, seed, threads). When the
-  // caller *asked* for shared worlds (MC + reuse_worlds) and only the
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    (*resolved)[PairKey(pairs[i].s, pairs[i].t)] = values[i];
+  }
+}
+
+std::vector<double> QueryEngine::EstimatePairs(
+    const std::vector<StQuery>& pairs, BatchStats* stats) const {
+  // When the caller *asked* for shared worlds (MC + reuse_worlds) and only the
   // footprint caps pushed us here, that is a silent 10-100x slowdown unless
   // we surface it.
   if (options_.reuse_worlds && options_.estimator == Estimator::kMonteCarlo) {
@@ -241,25 +207,25 @@ void QueryEngine::ResolvePairs(const std::vector<StQuery>& pairs,
     }
     ++stats->bank_fallbacks;
   }
+  std::vector<double> values(pairs.size());
   if (options_.estimator == Estimator::kRss) {
     RssOptions rss = options_.rss;
     rss.num_samples = options_.num_samples;
     rss.seed = options_.seed;
     rss.num_threads = options_.num_threads;
-    for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] =
-          EstimateReliabilityRss(graph_, q.s, q.t, rss);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      values[i] = EstimateReliabilityRss(graph_, pairs[i].s, pairs[i].t, rss);
     }
   } else {
     const SampleOptions mc{.num_samples = options_.num_samples,
                            .seed = options_.seed,
                            .num_threads = options_.num_threads};
-    for (const StQuery& q : pairs) {
-      (*resolved)[PairKey(q.s, q.t)] =
-          EstimateReliability(graph_, q.s, q.t, mc);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      values[i] = EstimateReliability(graph_, pairs[i].s, pairs[i].t, mc);
     }
   }
   stats->fallback_estimates += pairs.size();
+  return values;
 }
 
 StatusOr<BatchResult> QueryEngine::Answer(const QuerySet& set) {

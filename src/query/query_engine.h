@@ -163,9 +163,12 @@ struct BatchResult {
 /// any num_threads** and for any batch composition or order.
 ///
 /// With `use_index` the engine goes one step further: it builds a
-/// ReliabilityIndex (per-world component/SCC labels) over the bank once, and
-/// every query becomes a popcount with no flood at all — bit-identical to
-/// the flood path by construction. See src/index/reliability_index.h.
+/// ReliabilityIndex (per-world component/SCC labels) over the bank once.
+/// Undirected queries and directed pairs in one SCC in every world become
+/// label popcounts with no flood; the directed residual floods once per
+/// distinct uncached source through the same source-grouped loop
+/// (FloodBySource) on num_threads lanes. Answers are bit-identical to the
+/// flood path by construction. See src/index/reliability_index.h.
 ///
 /// Answers are memoized: a pair asked again while the graph's version() is
 /// unchanged is free. Any mutation (AddEdge/UpdateEdgeProb/assignment)
@@ -221,10 +224,16 @@ class QueryEngine {
   bool GraphExtendsIndexedShape() const;
 
   // Resolves reliabilities for `pairs` (deduplicated (s, t) keys), filling
-  // `resolved` and `stats`. Runs floods / per-pair estimates as configured.
+  // `resolved` and `stats`: through the index, one flood per distinct
+  // source (FloodBySource), or per-pair estimates, as configured.
   void ResolvePairs(const std::vector<StQuery>& pairs,
                     std::unordered_map<uint64_t, double>* resolved,
                     BatchStats* stats);
+
+  // Per-pair fallback: each pair estimated independently, exactly the
+  // single-query public API under the same (Z, seed, threads).
+  std::vector<double> EstimatePairs(const std::vector<StQuery>& pairs,
+                                    BatchStats* stats) const;
 
   static uint64_t PairKey(NodeId s, NodeId t) {
     return (static_cast<uint64_t>(s) << 32) | t;

@@ -8,16 +8,9 @@
 #include "common/status.h"
 #include "core/types.h"
 #include "graph/uncertain_graph.h"
+#include "sampling/world_view.h"
 
 namespace relmax {
-
-/// One source-target reliability query: estimate R(s, t, G).
-struct StQuery {
-  NodeId s = 0;
-  NodeId t = 0;
-
-  bool operator==(const StQuery& o) const { return s == o.s && t == o.t; }
-};
 
 /// A multiple-source/multiple-target aggregate query: the aggregate F over
 /// the pairwise reliability matrix R(s_i, t_j), the same semantics as

@@ -1,6 +1,9 @@
 #include "sampling/world_view.h"
 
+#include <unordered_map>
+
 #include "common/logging.h"
+#include "sampling/parallel.h"
 
 namespace relmax {
 
@@ -57,6 +60,45 @@ int64_t WorldView::CountBits(std::span<const uint64_t> bits, size_t limit) {
     count += __builtin_popcountll(value);
   }
   return count;
+}
+
+size_t FloodBySource(const WorldView& bank, const std::vector<EdgeId>& active,
+                     std::span<const StQuery> pairs, int num_threads,
+                     std::span<double> values,
+                     const FloodObserver& on_flood) {
+  RELMAX_CHECK(values.size() == pairs.size());
+  // First-appearance order makes the flood schedule a pure function of the
+  // pair list; slot writes by pair index keep the values independent of
+  // which lane ran which source.
+  std::unordered_map<NodeId, size_t> source_slot;
+  std::vector<NodeId> sources;
+  std::vector<std::vector<size_t>> pairs_of_source;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [it, inserted] = source_slot.emplace(pairs[i].s, sources.size());
+    if (inserted) {
+      sources.push_back(pairs[i].s);
+      pairs_of_source.emplace_back();
+    }
+    pairs_of_source[it->second].push_back(i);
+  }
+  const int num_worlds = bank.num_worlds();
+  ForEachShard(
+      sources.size(), num_threads,
+      [] { return std::make_unique<bitlane::BitMatrix>(); },
+      [&](std::unique_ptr<bitlane::BitMatrix>& reach, size_t i) {
+        // The fixpoint wipes the reused scratch itself (kClearScratch).
+        bank.ReachabilityFixpoint(sources[i], /*backward=*/false, active,
+                                  reach.get());
+        for (size_t idx : pairs_of_source[i]) {
+          values[idx] = static_cast<double>(WorldView::CountBits(
+                            reach->row_span(pairs[idx].t),
+                            static_cast<size_t>(num_worlds))) /
+                        num_worlds;
+        }
+        if (on_flood) on_flood(sources[i], *reach);
+      },
+      [](std::unique_ptr<bitlane::BitMatrix>&) {});
+  return sources.size();
 }
 
 }  // namespace relmax

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -13,6 +14,15 @@
 namespace relmax {
 
 struct Partition;
+
+/// One source-target reliability query: estimate R(s, t, G), the fraction of
+/// worlds in which t is reachable from s.
+struct StQuery {
+  NodeId s = 0;
+  NodeId t = 0;
+
+  bool operator==(const StQuery& o) const { return s == o.s && t == o.t; }
+};
 
 /// Construction knobs shared by every world-view implementation.
 struct WorldViewOptions {
@@ -96,6 +106,24 @@ class WorldView {
   /// Popcount of the first `limit` bits of `bits`.
   static int64_t CountBits(std::span<const uint64_t> bits, size_t limit);
 };
+
+/// Called on the flooding lane right after a source's flood, while its reach
+/// matrix is live.
+using FloodObserver =
+    std::function<void(NodeId source, const bitlane::BitMatrix& reach)>;
+
+/// Answers `pairs` with one flood per distinct source. Pairs are grouped by
+/// source in first-appearance order; each source is flooded once over
+/// `active` on a per-lane BitMatrix, across up to `num_threads` lanes, and
+/// values[i] becomes the popcount of pairs[i].t's reach row over the world
+/// count. `on_flood`, when set, sees every flood; it runs concurrently for
+/// different sources. Each value depends only on (bank bits, pair), so the
+/// result is bit-identical for any num_threads. Returns the floods run: the
+/// number of distinct sources.
+size_t FloodBySource(const WorldView& bank, const std::vector<EdgeId>& active,
+                     std::span<const StQuery> pairs, int num_threads,
+                     std::span<double> values,
+                     const FloodObserver& on_flood = nullptr);
 
 /// Builds the world view `options` asks for: the flat WorldBank when
 /// num_partitions <= 1, a partition-sharded bank otherwise. Answers are

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
@@ -208,6 +211,48 @@ TEST(FlagsTest, EnvironmentFallback) {
   const char* argv[] = {"prog"};
   Flags flags = Flags::Parse(1, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("from-env", 0), 21);
+  unsetenv("RELMAX_FROM_ENV");
+}
+
+TEST(FlagsTest, AcceptsWholeNumbers) {
+  const char* argv[] = {"prog", "--neg=-7", "--plus=+3", "--sci=1e-3",
+                        "--big=9223372036854775807"};
+  Flags flags = Flags::Parse(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("neg", 0), -7);
+  EXPECT_EQ(flags.GetInt("plus", 0), 3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("sci", 0.0), 1e-3);
+  EXPECT_EQ(flags.GetInt("big", 0), INT64_MAX);
+}
+
+TEST(FlagsDeathTest, MalformedIntExitsTwo) {
+  for (const char* value :
+       {"abc", "12x", "", " 7", "1.5", "0x10", "9223372036854775808"}) {
+    const std::string arg = std::string("--count=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags = Flags::Parse(2, const_cast<char**>(argv));
+    EXPECT_EXIT(flags.GetInt("count", 0), testing::ExitedWithCode(2),
+                "prog: --count expects a 64-bit integer")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExitsTwo) {
+  for (const char* value : {"abc", "0.5x", "", "1e999", "nan", "inf"}) {
+    const std::string arg = std::string("--alpha=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags = Flags::Parse(2, const_cast<char**>(argv));
+    EXPECT_EXIT(flags.GetDouble("alpha", 0.0), testing::ExitedWithCode(2),
+                "prog: --alpha expects a finite number")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsDeathTest, MalformedEnvironmentValueExitsTwo) {
+  setenv("RELMAX_FROM_ENV", "21x", 1);
+  const char* argv[] = {"prog"};
+  const Flags flags = Flags::Parse(1, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetInt("from-env", 0), testing::ExitedWithCode(2),
+              "--from-env expects a 64-bit integer, got '21x'");
   unsetenv("RELMAX_FROM_ENV");
 }
 

@@ -1,11 +1,13 @@
 // ReliabilityIndex: per-world component/SCC labels must reproduce the
 // word-parallel flood bit-for-bit (undirected and directed), incremental
 // maintenance must equal a full rebuild while touching only the affected
-// worlds, and the directed reach-row cache must evict without changing
-// answers.
+// worlds, the directed residual must flood each uncached source once per
+// batch, and the reach-row cache must stay under its cap, admit what FIFO
+// would keep, and never change answers.
 #include <gtest/gtest.h>
 
 #include <span>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -222,6 +224,126 @@ TEST(ReliabilityIndexTest, ReachRowCacheEvictsWithoutChangingAnswers) {
   }
   EXPECT_GT(index.stats().reach_row_evictions, 0u);
   EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
+}
+
+// Pairs (s, t) with s != t drawn from `rng`.
+std::vector<StQuery> RandomPairs(Rng& rng, NodeId n, size_t count) {
+  std::vector<StQuery> pairs;
+  while (pairs.size() < count) {
+    const NodeId s = static_cast<NodeId>(rng.NextUint64(n));
+    const NodeId t = static_cast<NodeId>(rng.NextUint64(n));
+    if (s != t) pairs.push_back({s, t});
+  }
+  return pairs;
+}
+
+// Sources of the pairs that neither the label planes nor a cached row can
+// answer: s and t are not mutually reachable in every world. Computed from
+// floods alone, independent of the index.
+size_t ResidualSources(const WorldBank& bank, std::span<const StQuery> pairs) {
+  const std::vector<uint64_t> all = bank.WorldsWithAllEdges({});
+  std::unordered_set<NodeId> sources;
+  for (const StQuery& q : pairs) {
+    if (FloodRow(bank, q.s, q.t) != all || FloodRow(bank, q.t, q.s) != all) {
+      sources.insert(q.s);
+    }
+  }
+  return sources.size();
+}
+
+TEST(ReliabilityIndexTest, ColdBatchFloodsEachResidualSourceOnce) {
+  const UncertainGraph g = RandomGraph(149, 20, 0.15, true);
+  const WorldBank bank(g, {.num_samples = 192, .seed = 31});
+  Rng rng(3);
+  const std::vector<StQuery> pairs = RandomPairs(rng, g.num_nodes(), 150);
+  const size_t expected = ResidualSources(bank, pairs);
+  ASSERT_GT(expected, 1u);
+  for (const int threads : {1, 2, 4}) {
+    ReliabilityIndex index(bank, {.num_threads = threads});
+    const std::vector<double> values = index.QueryBatch(pairs);
+    EXPECT_EQ(index.stats().reach_floods, expected) << "threads " << threads;
+    EXPECT_EQ(index.stats().reach_row_evictions, 0u);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(values[i], bank.ConnectedFraction(pairs[i].s, pairs[i].t,
+                                                  bank.AllEdges(), {}))
+          << "threads " << threads << ", pair " << i;
+    }
+    // Every residual row is cached now: the same batch floods nothing.
+    EXPECT_EQ(index.QueryBatch(pairs), values);
+    EXPECT_EQ(index.stats().reach_floods, expected);
+  }
+}
+
+TEST(ReliabilityIndexTest, TinyReachCapKeepsAnswersAndStaysUnderCap) {
+  const UncertainGraph g = RandomGraph(151, 16, 0.18, true);
+  const WorldBank bank(g, {.num_samples = 128, .seed = 37});
+  const size_t row_bytes = static_cast<size_t>(g.num_nodes()) * 2 * 8;
+  // Below one row (nothing is ever cached), one row, and three rows.
+  for (const size_t cap : {row_bytes / 2, row_bytes, 3 * row_bytes}) {
+    ReliabilityIndex::Options options;
+    options.max_reach_bytes = cap;
+    options.num_threads = 2;
+    ReliabilityIndex index(bank, options);
+    Rng rng(cap);
+    for (int batch = 0; batch < 4; ++batch) {
+      const std::vector<StQuery> pairs = RandomPairs(rng, g.num_nodes(), 40);
+      const std::vector<double> values = index.QueryBatch(pairs);
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_EQ(values[i], bank.ConnectedFraction(pairs[i].s, pairs[i].t,
+                                                    bank.AllEdges(), {}))
+            << "cap " << cap << ", batch " << batch << ", pair " << i;
+      }
+      EXPECT_LE(index.reach_cache_bytes(), cap) << "batch " << batch;
+      EXPECT_EQ(index.stats().reach_rows_cached * row_bytes,
+                index.reach_cache_bytes());
+    }
+    EXPECT_GT(index.stats().reach_floods, 0u);
+  }
+}
+
+TEST(ReliabilityIndexTest, BatchAdmitsTheRowsFifoWouldKeep) {
+  // A directed path 0 -> 1 -> 2 -> 3 -> 4 at p = 0.5: no pair shares an SCC
+  // in every world, so every (s, t) with s != t is residual.
+  UncertainGraph g = UncertainGraph::Directed(5);
+  for (NodeId v = 0; v + 1 < 5; ++v) ASSERT_TRUE(g.AddEdge(v, v + 1, 0.5).ok());
+  const WorldBank bank(g, {.num_samples = 64, .seed = 41});
+  ReliabilityIndex::Options options;
+  options.max_reach_bytes = 2 * 5 * 8;  // two rows of 5 nodes x 1 word
+  ReliabilityIndex index(bank, options);
+  // Flood order 3, 0, 2, 1: FIFO insertion keeps the last two, {2, 1}.
+  const std::vector<StQuery> first = {{3, 4}, {0, 4}, {3, 0}, {2, 4}, {1, 4}};
+  index.QueryBatch(first);
+  EXPECT_EQ(index.stats().reach_floods, 4u);
+  EXPECT_EQ(index.stats().reach_rows_cached, 2u);
+  index.Query(2, 0);
+  index.Query(1, 3);
+  EXPECT_EQ(index.stats().reach_floods, 4u);  // both cached
+  index.Query(0, 1);
+  EXPECT_EQ(index.stats().reach_floods, 5u);  // 0 was not admitted
+  // Admitting 0 evicted the oldest row, 2; 1 is still cached.
+  EXPECT_EQ(index.stats().reach_row_evictions, 1u);
+  index.Query(1, 2);
+  EXPECT_EQ(index.stats().reach_floods, 5u);
+  index.Query(2, 3);
+  EXPECT_EQ(index.stats().reach_floods, 6u);
+}
+
+TEST(ReliabilityIndexTest, QueryIsAOnePairBatch) {
+  const UncertainGraph g = RandomGraph(157, 12, 0.25, true);
+  const WorldBank bank(g, {.num_samples = 200, .seed = 43});
+  ReliabilityIndex single(bank, {});
+  ReliabilityIndex batched(bank, {});
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      const StQuery pair{s, t};
+      const double value = single.Query(s, t);
+      EXPECT_EQ(value, batched.QueryBatch({&pair, 1})[0]);
+      EXPECT_EQ(value, static_cast<double>(WorldBank::CountBits(
+                           single.ConnectedWorlds(s, t), 200)) /
+                           200);
+    }
+  }
+  EXPECT_EQ(single.stats().reach_floods, batched.stats().reach_floods);
 }
 
 TEST(ReliabilityIndexTest, FitsAndFootprint) {

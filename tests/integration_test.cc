@@ -8,6 +8,8 @@
 #include <regex>
 #include <string>
 
+#include <sys/wait.h>
+
 #include "baselines/greedy.h"
 #include "common/rng.h"
 #include "core/candidates.h"
@@ -165,18 +167,28 @@ TEST(IntegrationTest, MultiAverageConsistentWithSinglePairUnion) {
 // plumbing fails these loudly. Wall-clock timings are normalized away;
 // thread counts 1 and 4 must produce byte-identical normalized output.
 
-std::string RunCli(const std::string& args) {
+// Runs the CLI with stderr folded into *out and returns its exit code. A
+// death by signal (an abort from a failed RELMAX_CHECK) fails the test and
+// returns -1.
+int RunCliExitCode(const std::string& args, std::string* out) {
   const std::string cmd = std::string(RELMAX_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
-  if (pipe == nullptr) return "";
-  std::string out;
+  if (pipe == nullptr) return -1;
+  out->clear();
   char buffer[4096];
   size_t n;
   while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    out.append(buffer, n);
+    out->append(buffer, n);
   }
-  EXPECT_EQ(pclose(pipe), 0) << cmd << "\n" << out;
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status)) << cmd << "\n" << *out;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string RunCli(const std::string& args) {
+  std::string out;
+  EXPECT_EQ(RunCliExitCode(args, &out), 0) << args << "\n" << out;
   return out;
 }
 
@@ -434,6 +446,38 @@ TEST_P(GoldenCliThreadSweep, TwoClusterSolveAndEstimateStdoutPinned) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, GoldenCliThreadSweep, testing::Values(1, 4));
+
+// Malformed numeric flags exit 2 with a message naming the flag, and an
+// out-of-range --samples is a typed error: neither reaches an abort.
+TEST(CliFlagsTest, BadNumericFlagsFailWithoutAbort) {
+  const std::string graph = WriteExample3Graph();
+  const std::string estimate = "estimate --graph " + graph + " --s 0 --t 3 ";
+  std::string out;
+  for (const char* value : {"abc", "12x", "99999999999999999999"}) {
+    EXPECT_EQ(RunCliExitCode(estimate + "--samples " + value, &out), 2)
+        << value;
+    EXPECT_NE(out.find("--samples expects a 64-bit integer"),
+              std::string::npos)
+        << out;
+  }
+  for (const char* value : {"0", "-5", "3000000000"}) {
+    EXPECT_EQ(RunCliExitCode(estimate + "--samples " + value, &out), 1)
+        << value;
+    EXPECT_NE(out.find("--samples must be in [1, 2147483647]"),
+              std::string::npos)
+        << out;
+  }
+  const std::string queries = WriteExample3Queries();
+  EXPECT_EQ(RunCliExitCode("batch --graph " + graph + " --queries " +
+                               queries + " --samples 0",
+                           &out),
+            1);
+  EXPECT_EQ(RunCliExitCode("batch --graph " + graph + " --queries " +
+                               queries + " --threads 2x",
+                           &out),
+            2);
+}
+
 
 }  // namespace
 }  // namespace relmax

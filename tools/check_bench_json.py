@@ -12,8 +12,9 @@ Validates three shapes, auto-detected from the top-level keys:
   gbench  -- google-benchmark --benchmark_out output:
              {context: {...}, benchmarks: [{name, ...}, ...]}
 
-Every `environment` block must have the canonical bench::EnvironmentJson
-shape ({cpus_available, compiler, benchmark_library, note}) so the schema
+Rows that record `repetitions` must also carry median/min/max columns for
+their label's repeated timings (LABEL_SPREAD_KEYS). Every `environment`
+block must have the canonical bench::EnvironmentJson shape ({cpus_available, compiler, benchmark_library, note}) so the schema
 cannot drift between files again. Used by the bench-smoke CI job and
 runnable locally:
 
@@ -47,6 +48,14 @@ LABEL_REQUIRED_KEYS = {
     "serving": ("p50_ms", "p99_ms", "p999_ms", "qps", "shed",
                 "bit_identical"),
 }
+
+# Per-label repeated-timing columns. A row that records `repetitions` must
+# carry, for each column here, its median under the bare name plus `_min`
+# and `_max`, ordered min <= median <= max, from at least five runs.
+LABEL_SPREAD_KEYS = {
+    "index_queries": ("flood_seconds", "index_cold_seconds"),
+}
+MIN_REPETITIONS = 5
 
 # Every google-benchmark name the micro-kernel suite may emit (the part
 # before the first '/'). A rename or typo in bench_micro_kernels.cc would
@@ -119,6 +128,26 @@ def check_benchmarks(benchmarks, where, label=None):
                 key in bench,
                 f"{where}: benchmarks[{i}] (label '{label}') missing '{key}'",
             )
+        if "repetitions" in bench:
+            check_spread(bench, f"{where}: benchmarks[{i}]", label)
+
+
+def check_spread(bench, where, label):
+    reps = bench["repetitions"]
+    require(isinstance(reps, int) and not isinstance(reps, bool)
+            and reps >= MIN_REPETITIONS,
+            f"{where}: repetitions must be an integer >= {MIN_REPETITIONS}")
+    for base in LABEL_SPREAD_KEYS.get(label, ()):
+        values = []
+        for key in (base + "_min", base, base + "_max"):
+            value = bench.get(key)
+            require(isinstance(value, (int, float))
+                    and not isinstance(value, bool),
+                    f"{where}: '{key}' must be a number when repetitions "
+                    f"is recorded")
+            values.append(value)
+        require(values[0] <= values[1] <= values[2],
+                f"{where}: need {base}_min <= {base} <= {base}_max")
 
 
 def check_entry(entry, where):

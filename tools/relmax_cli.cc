@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,6 +113,17 @@ StatusOr<int> ParsePartitions(const Flags& flags) {
     return Status::InvalidArgument("--partitions must be >= 1");
   }
   return partitions;
+}
+
+// --samples is a world count Z (default 2000): it must be positive and fit an
+// int. Zero or negative would reach the samplers' and engines' RELMAX_CHECK
+// and abort.
+StatusOr<int> ParseSamples(const Flags& flags) {
+  const int64_t samples = flags.GetInt("samples", 2000);
+  if (samples <= 0 || samples > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--samples must be in [1, 2147483647]");
+  }
+  return static_cast<int>(samples);
 }
 
 // Warns (once per process) when the user asked for more shards than the graph
@@ -199,7 +211,8 @@ int CmdEstimate(const Flags& flags) {
   if (s >= graph->num_nodes() || t >= graph->num_nodes()) {
     return Fail("query node out of range");
   }
-  const int samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = ParseSamples(flags);
+  if (!samples.ok()) return Fail(samples.status().ToString());
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int threads = static_cast<int>(flags.GetInt("threads", 1));
   // estimate never builds a bank, but the --partitions contract (reject <= 0)
@@ -214,14 +227,14 @@ int CmdEstimate(const Flags& flags) {
   if (*estimator == Estimator::kRss) {
     reliability = EstimateReliabilityRss(
         *graph, s, t,
-        {.num_samples = samples, .seed = seed, .num_threads = threads});
+        {.num_samples = *samples, .seed = seed, .num_threads = threads});
   } else {
     reliability = EstimateReliability(
         *graph, s, t,
-        {.num_samples = samples, .seed = seed, .num_threads = threads});
+        {.num_samples = *samples, .seed = seed, .num_threads = threads});
   }
   std::printf("R(%u, %u) = %.4f   (%d samples, %.3f s)\n", s, t, reliability,
-              samples, timer.ElapsedSeconds());
+              *samples, timer.ElapsedSeconds());
   return 0;
 }
 
@@ -333,7 +346,9 @@ int CmdBudget(const Flags& flags) {
 // uses, so `index save` / `index load` / `batch --index-file` agree.
 StatusOr<WorldViewOptions> WorldOptionsFromFlags(const Flags& flags) {
   WorldViewOptions options;
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = ParseSamples(flags);
+  RELMAX_RETURN_IF_ERROR(samples.status());
+  options.num_samples = *samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   const auto partitions = ParsePartitions(flags);
@@ -408,7 +423,9 @@ int CmdBatch(const Flags& flags) {
   auto set = QuerySet::FromFile(queries_path);
   if (!set.ok()) return Fail(set.status().ToString());
   QueryEngineOptions options;
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = ParseSamples(flags);
+  if (!samples.ok()) return Fail(samples.status().ToString());
+  options.num_samples = *samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
@@ -471,7 +488,9 @@ int CmdServe(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   serve::ServeOptions options;
-  options.engine.num_samples = static_cast<int>(flags.GetInt("samples", 2000));
+  const auto samples = ParseSamples(flags);
+  if (!samples.ok()) return Fail(samples.status().ToString());
+  options.engine.num_samples = *samples;
   options.engine.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
