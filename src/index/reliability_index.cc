@@ -277,50 +277,33 @@ void ReliabilityIndex::RelabelWorlds(const std::vector<uint64_t>& mask) {
       [](std::unique_ptr<LabelScratch>&) {});
 }
 
-std::vector<uint64_t> ReliabilityIndex::EqualLabelWorlds(NodeId s,
-                                                         NodeId t) const {
-  std::vector<uint64_t> diff(world_words_, 0);
+void ReliabilityIndex::EqualLabelWorlds(NodeId s, NodeId t,
+                                        std::span<uint64_t> eq) const {
+  RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
+  RELMAX_CHECK(eq.size() == world_words_);
   const uint64_t* s_planes =
       labels_.data() + static_cast<size_t>(s) * label_bits_ * world_words_;
   const uint64_t* t_planes =
       labels_.data() + static_cast<size_t>(t) * label_bits_ * world_words_;
+  std::fill(eq.begin(), eq.end(), 0);
   for (int b = 0; b < label_bits_; ++b) {
     const uint64_t* sp = s_planes + static_cast<size_t>(b) * world_words_;
     const uint64_t* tp = t_planes + static_cast<size_t>(b) * world_words_;
-    for (size_t w = 0; w < world_words_; ++w) diff[w] |= sp[w] ^ tp[w];
+    for (size_t w = 0; w < world_words_; ++w) eq[w] |= sp[w] ^ tp[w];
   }
-  std::vector<uint64_t> eq = AllWorlds(num_worlds_, world_words_);
-  for (size_t w = 0; w < world_words_; ++w) eq[w] &= ~diff[w];
-  return eq;
+  for (size_t w = 0; w < world_words_; ++w) eq[w] = ~eq[w];
+  if (num_worlds_ & 63) {
+    eq[world_words_ - 1] &= (uint64_t{1} << (num_worlds_ & 63)) - 1;
+  }
 }
 
 size_t ReliabilityIndex::reach_cache_bytes() const {
   return reach_cache_.size() * static_cast<size_t>(num_nodes_) *
-         world_words_ * sizeof(uint64_t);
-}
-
-bool ReliabilityIndex::KnownWorlds(NodeId s, NodeId t,
-                                   std::vector<uint64_t>* worlds) const {
-  RELMAX_CHECK(s < num_nodes_ && t < num_nodes_);
-  *worlds = EqualLabelWorlds(s, t);
-  if (!directed_) return true;
-  // Same SCC in every world ⇒ mutually reachable everywhere: answer without
-  // any flood. (The flood would set exactly these bits too.)
-  if (WorldView::CountBits(*worlds, static_cast<size_t>(num_worlds_)) ==
-      num_worlds_) {
-    return true;
-  }
-  const auto it = reach_cache_.find(s);
-  if (it == reach_cache_.end()) return false;
-  const uint64_t* row =
-      it->second.data() + static_cast<size_t>(t) * world_words_;
-  worlds->assign(row, row + world_words_);
-  return true;
+         sizeof(uint32_t);
 }
 
 void ReliabilityIndex::FloodResidual(std::span<const StQuery> residual,
-                                     std::span<double> values,
-                                     const FloodObserver& observe) {
+                                     std::span<double> values) {
   if (residual.empty()) return;
   // Distinct sources in flood order (first appearance, as FloodBySource
   // schedules them).
@@ -330,37 +313,32 @@ void ReliabilityIndex::FloodResidual(std::span<const StQuery> residual,
     if (seen.insert(q.s).second) sources.push_back(q.s);
   }
   // FIFO insertion of `sources` in order would end holding the last
-  // `admit` of them behind the newest surviving old rows. Evicting the
-  // oldest rows up front keeps the cache within its cap at every moment.
-  const size_t row_words = static_cast<size_t>(num_nodes_) * world_words_;
-  const size_t cap_rows =
-      options_.max_reach_bytes / (row_words * sizeof(uint64_t));
-  const size_t admit = std::min(sources.size(), cap_rows);
-  while (reach_cache_.size() + admit > cap_rows) {
+  // `admit` of them behind the newest surviving old entries. Evicting the
+  // oldest entries up front keeps the cache within its cap at every moment.
+  const size_t row_bytes = static_cast<size_t>(num_nodes_) * sizeof(uint32_t);
+  const size_t cap_sources = options_.max_reach_bytes / row_bytes;
+  const size_t admit = std::min(sources.size(), cap_sources);
+  while (reach_cache_.size() + admit > cap_sources) {
     reach_cache_.erase(reach_order_.front());
     reach_order_.pop_front();
     ++stats_.reach_row_evictions;
   }
   for (size_t k = sources.size() - admit; k < sources.size(); ++k) {
-    reach_cache_[sources[k]].resize(row_words);
+    reach_cache_[sources[k]].resize(num_nodes_);
     reach_order_.push_back(sources[k]);
   }
   stats_.reach_rows_cached = reach_cache_.size();
   // Lanes only look the map up while it is not modified, and each admitted
-  // row is written by the one lane that floods its source.
+  // entry is written by the one lane that floods its source.
   stats_.reach_floods += FloodBySource(
       *bank_, all_edges_, residual, options_.num_threads, values,
       [&](NodeId source, const bitlane::BitMatrix& reach) {
         const auto it = reach_cache_.find(source);
-        if (it != reach_cache_.end()) {
-          for (NodeId v = 0; v < num_nodes_; ++v) {
-            const uint64_t* const row = reach.row(v);
-            std::copy(row, row + world_words_,
-                      it->second.begin() +
-                          static_cast<size_t>(v) * world_words_);
-          }
+        if (it == reach_cache_.end()) return;
+        for (NodeId v = 0; v < num_nodes_; ++v) {
+          it->second[v] = static_cast<uint32_t>(WorldView::CountBits(
+              reach.row_span(v), static_cast<size_t>(num_worlds_)));
         }
-        if (observe) observe(source, reach);
       });
 }
 
@@ -369,16 +347,23 @@ std::vector<double> ReliabilityIndex::QueryBatch(
   std::vector<double> values(pairs.size());
   std::vector<StQuery> residual;
   std::vector<size_t> residual_slot;
-  std::vector<uint64_t> worlds;
+  std::vector<uint64_t> eq(world_words_);
   for (size_t i = 0; i < pairs.size(); ++i) {
-    if (KnownWorlds(pairs[i].s, pairs[i].t, &worlds)) {
-      values[i] = static_cast<double>(WorldView::CountBits(
-                      worlds, static_cast<size_t>(num_worlds_))) /
-                  num_worlds_;
-    } else {
-      residual.push_back(pairs[i]);
-      residual_slot.push_back(i);
+    const auto [s, t] = pairs[i];
+    EqualLabelWorlds(s, t, eq);
+    int64_t count = WorldView::CountBits(eq, static_cast<size_t>(num_worlds_));
+    // Same SCC in every world ⇒ mutually reachable everywhere: answer without
+    // any flood. (The flood would count exactly these worlds too.)
+    if (directed_ && count != num_worlds_) {
+      const auto it = reach_cache_.find(s);
+      if (it == reach_cache_.end()) {
+        residual.push_back(pairs[i]);
+        residual_slot.push_back(i);
+        continue;
+      }
+      count = it->second[t];
     }
+    values[i] = static_cast<double>(count) / num_worlds_;
   }
   std::vector<double> residual_values(residual.size());
   FloodResidual(residual, residual_values);
@@ -393,16 +378,17 @@ double ReliabilityIndex::Query(NodeId s, NodeId t) {
   return QueryBatch({&pair, 1})[0];
 }
 
-std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s, NodeId t) {
-  std::vector<uint64_t> worlds;
-  if (KnownWorlds(s, t, &worlds)) return worlds;
-  const StQuery pair{s, t};
-  double value = 0.0;
-  FloodResidual({&pair, 1}, {&value, 1},
-                [&](NodeId, const bitlane::BitMatrix& reach) {
-                  const std::span<const uint64_t> row = reach.row_span(t);
-                  worlds.assign(row.begin(), row.end());
-                });
+std::vector<uint64_t> ReliabilityIndex::ConnectedWorlds(NodeId s,
+                                                        NodeId t) const {
+  std::vector<uint64_t> worlds(world_words_);
+  EqualLabelWorlds(s, t, worlds);
+  const int64_t equal =
+      WorldView::CountBits(worlds, static_cast<size_t>(num_worlds_));
+  if (!directed_ || equal == num_worlds_) return worlds;
+  bitlane::BitMatrix reach;
+  bank_->ReachabilityFixpoint(s, /*backward=*/false, all_edges_, &reach);
+  const std::span<const uint64_t> row = reach.row_span(t);
+  worlds.assign(row.begin(), row.end());
   return worlds;
 }
 
@@ -445,7 +431,7 @@ void ReliabilityIndex::ApplyBankUpdate(const WorldView& fresh,
   RELMAX_CHECK(affected.size() == world_words_);
   bank_ = &fresh;
   all_edges_ = fresh.AllEdges();
-  // Reach rows mix affected and unaffected worlds in one flood; later
+  // Reach counts mix affected and unaffected worlds in one flood; later
   // batches flood them again rather than patching. The reach counters reset
   // with the cache — they describe the cache since its last drop (see
   // Stats) — so incremental stats stay comparable to a fresh build's instead

@@ -37,18 +37,22 @@ namespace relmax {
 /// world), stored in the same bitplane layout. SCC equality gives the worlds
 /// where s and t are mutually reachable; when that covers every world the
 /// query is answered outright (R = 1). The rest, one-way reachability, is
-/// the *residual*. It is answered from per-source reach rows (all n target
-/// rows of one flood over the bank). QueryBatch answers a batch in three
-/// steps: label planes first, then rows already cached, then one flood per
-/// distinct uncached source, grouped by source and spread over
-/// `Options::num_threads` lanes (FloodBySource, the flood path's own loop).
+/// the *residual*. R only needs the number of worlds in which s reaches t,
+/// so the residual is answered from per-source *reach counts*: n uint32
+/// counts, count[t] = popcount of t's row of one flood over the bank.
+/// QueryBatch answers a batch in three steps: label planes first, then
+/// counts already cached, then one flood per distinct uncached source,
+/// grouped by source and spread over `Options::num_threads` lanes
+/// (FloodBySource, the flood path's own loop). A cached pair answers as
+/// count / Z, the very expression the flood path evaluates.
 ///
-/// **Reach-row cache:** FIFO under `Options::max_reach_bytes`, holding at
-/// most max_reach_bytes / row_bytes rows. A batch admits exactly the rows
-/// that FIFO insertion of its flooded sources, in flood order, would keep:
-/// the last cap-many. The oldest rows are evicted before the floods start,
-/// so the cache never exceeds its cap, and admitted rows are copied straight
-/// from each lane's flood. A row larger than the whole cap is never cached.
+/// **Reach-count cache:** FIFO under `Options::max_reach_bytes`, holding at
+/// most max_reach_bytes / (4 · n) sources. A batch admits exactly the
+/// sources that FIFO insertion of its flooded sources, in flood order, would
+/// keep: the last cap-many. The oldest entries are evicted before the floods
+/// start, so the cache never exceeds its cap, and admitted counts are filled
+/// straight from each lane's flood. An entry larger than the whole cap is
+/// never cached.
 ///
 /// **Bit purity:** every answer equals the shared-flood path over the same
 /// bank, bit for bit — components/SCCs and floods are exact per world, so the
@@ -86,7 +90,7 @@ class ReliabilityIndex {
     /// it, construction refuses (Fits() returns false) — callers keep the
     /// flood path instead.
     size_t max_label_bytes = size_t{128} << 20;
-    /// Cap on the directed reach-row cache (n · Z bits per source).
+    /// Cap on the directed reach-count cache (n · 4 bytes per source).
     /// Oldest sources are evicted first.
     size_t max_reach_bytes = size_t{64} << 20;
     /// Lanes used while (re)labeling and for residual floods; <= 0 means all
@@ -96,9 +100,9 @@ class ReliabilityIndex {
 
   /// Build/maintenance accounting. builds / incremental_updates /
   /// worlds_relabeled / last_update_worlds are monotonic over the index
-  /// lifetime. The reach_* counters describe the directed reach-row cache
+  /// lifetime. The reach_* counters describe the directed reach-count cache
   /// **since it was last dropped**: ApplyBankUpdate clears the cache (its
-  /// rows mixed pre-update worlds) and resets all three, so after an
+  /// counts mixed pre-update worlds) and resets all three, so after an
   /// incremental update they match a fresh build's counters instead of
   /// carrying floods that served the previous bank.
   struct Stats {
@@ -113,7 +117,7 @@ class ReliabilityIndex {
     /// Directed residual floods actually run (one per distinct uncached
     /// source of each batch).
     size_t reach_floods = 0;
-    /// Directed reach rows currently cached / evicted so far.
+    /// Sources whose reach counts are cached now / evicted so far.
     size_t reach_rows_cached = 0;
     size_t reach_row_evictions = 0;
   };
@@ -144,17 +148,20 @@ class ReliabilityIndex {
 
   /// values[i] = R(pairs[i].s, pairs[i].t): the fraction of worlds where t
   /// is reachable from s. Non-const because directed residual floods admit
-  /// rows into the reach cache; answers are independent of cache state and
-  /// of num_threads.
+  /// counts into the reach cache; answers are independent of cache state
+  /// and of num_threads.
   std::vector<double> QueryBatch(std::span<const StQuery> pairs);
 
   /// R(s, t): QueryBatch of the one pair.
   double Query(NodeId s, NodeId t);
 
   /// World-indexed bitset with bit w set iff t is reachable from s in world
-  /// w — bit-identical to ReachabilityFixpoint over the same bank. Answers
-  /// like a one-pair QueryBatch, cache admission included.
-  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t);
+  /// w — bit-identical to ReachabilityFixpoint over the same bank. Answered
+  /// from the label planes when they settle every world (undirected, or s
+  /// and t share an SCC in all worlds); otherwise s is flooded directly.
+  /// Counts cannot rebuild a bitset, so this neither reads nor fills the
+  /// reach cache, and its floods are not counted in Stats::reach_floods.
+  std::vector<uint64_t> ConnectedWorlds(NodeId s, NodeId t) const;
 
   /// Relabels exactly the worlds set in `affected` (world-indexed bitset)
   /// against `fresh`, keeping every other world's labels. `fresh` must have
@@ -162,7 +169,8 @@ class ReliabilityIndex {
   /// may have been appended) and replaces it as the index's bank; the
   /// directed reach cache is dropped. Pass DiffWorlds(old, fresh) to get the
   /// exact mask.
-  void ApplyBankUpdate(const WorldView& fresh, const std::vector<uint64_t>& affected);
+  void ApplyBankUpdate(const WorldView& fresh,
+                       const std::vector<uint64_t>& affected);
 
   /// Worlds whose edge presence differs between the banks: XOR of the up
   /// rows of every common edge, plus the up row of every edge only in
@@ -182,7 +190,8 @@ class ReliabilityIndex {
   /// (v * label_bits() + b) * world_words) — what index_io serializes and
   /// FromSavedLabels restores.
   std::span<const uint64_t> label_words() const { return labels_; }
-  /// Bytes held by the directed reach-row cache right now.
+  /// Bytes held by the directed reach-count cache right now: cached sources
+  /// × n × 4.
   size_t reach_cache_bytes() const;
   const Stats& stats() const { return stats_; }
 
@@ -196,21 +205,16 @@ class ReliabilityIndex {
   // Affected bits are cleared first; other worlds' bits are untouched.
   void RelabelWorlds(const std::vector<uint64_t>& mask);
 
-  // Sets *worlds to the worlds where t is reachable from s when the label
-  // planes or a cached reach row hold them; false for a directed residual
-  // pair whose source is not cached.
-  bool KnownWorlds(NodeId s, NodeId t, std::vector<uint64_t>* worlds) const;
-
   // Answers residual pairs (sources not cached) with one flood per distinct
-  // source via FloodBySource, evicting and admitting reach rows by the FIFO
-  // rule above. `observe` also sees every flood.
+  // source via FloodBySource, evicting and admitting reach counts by the
+  // FIFO rule above.
   void FloodResidual(std::span<const StQuery> residual,
-                     std::span<double> values,
-                     const FloodObserver& observe = nullptr);
+                     std::span<double> values);
 
-  // OR_b(plane_b(s) XOR plane_b(t)) complemented and tail-masked: the worlds
-  // where s and t carry equal labels.
-  std::vector<uint64_t> EqualLabelWorlds(NodeId s, NodeId t) const;
+  // Writes into `eq` (world_words_ words) OR_b(plane_b(s) XOR plane_b(t))
+  // complemented and tail-masked: the worlds where s and t carry equal
+  // labels.
+  void EqualLabelWorlds(NodeId s, NodeId t, std::span<uint64_t> eq) const;
 
   const WorldView* bank_;  // replaced by ApplyBankUpdate
   Options options_;
@@ -223,8 +227,8 @@ class ReliabilityIndex {
   // labels_[(v * label_bits_ + b) * world_words_].
   std::vector<uint64_t> labels_;
   std::vector<EdgeId> all_edges_;
-  // Directed per-source reach rows: n rows of world_words_ words, flat.
-  std::unordered_map<NodeId, std::vector<uint64_t>> reach_cache_;
+  // Directed per-source reach counts: count[t] = worlds where s reaches t.
+  std::unordered_map<NodeId, std::vector<uint32_t>> reach_cache_;
   std::deque<NodeId> reach_order_;
   Stats stats_;
 };

@@ -1,5 +1,6 @@
 #include "sampling/world_view.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -51,15 +52,49 @@ std::vector<EdgeId> WorldView::AllEdges() const {
   return edges;
 }
 
-int64_t WorldView::CountBits(std::span<const uint64_t> bits, size_t limit) {
+namespace {
+
+// Popcount of the first `limit` bits of the `n` words at `w`. Inlined into
+// each caller, so it is compiled for the caller's target.
+[[gnu::always_inline]] inline int64_t PopcountPrefix(const uint64_t* w,
+                                                     size_t n, size_t limit) {
+  const size_t full = std::min(limit / 64, n);
   int64_t count = 0;
-  for (size_t word = 0; word * 64 < limit && word < bits.size(); ++word) {
-    uint64_t value = bits[word];
-    const size_t remaining = limit - word * 64;
-    if (remaining < 64) value &= (uint64_t{1} << remaining) - 1;
-    count += __builtin_popcountll(value);
+  for (size_t i = 0; i < full; ++i) count += __builtin_popcountll(w[i]);
+  if (full < n && (limit & 63) != 0) {
+    const uint64_t tail = (uint64_t{1} << (limit & 63)) - 1;
+    count += __builtin_popcountll(w[full] & tail);
   }
   return count;
+}
+
+#if defined(__x86_64__)
+// The baseline x86-64 target has no popcount instruction, so there
+// __builtin_popcountll lowers to a libgcc call. This copy is compiled for
+// the instruction and runs only on CPUs that report it. (A target_clones
+// ifunc would choose at load time instead, but its resolver crashes under
+// ThreadSanitizer.)
+[[gnu::target("popcnt")]] int64_t PopcountHw(const uint64_t* w, size_t n,
+                                             size_t limit) {
+  return PopcountPrefix(w, n, limit);
+}
+
+bool CpuHasPopcnt() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt") != 0;
+  }();
+  return has;
+}
+#endif
+
+}  // namespace
+
+int64_t WorldView::CountBits(std::span<const uint64_t> bits, size_t limit) {
+#if defined(__x86_64__)
+  if (CpuHasPopcnt()) return PopcountHw(bits.data(), bits.size(), limit);
+#endif
+  return PopcountPrefix(bits.data(), bits.size(), limit);
 }
 
 size_t FloodBySource(const WorldView& bank, const std::vector<EdgeId>& active,

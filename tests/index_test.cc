@@ -2,10 +2,11 @@
 // word-parallel flood bit-for-bit (undirected and directed), incremental
 // maintenance must equal a full rebuild while touching only the affected
 // worlds, the directed residual must flood each uncached source once per
-// batch, and the reach-row cache must stay under its cap, admit what FIFO
+// batch, and the reach-count cache must stay under its cap, admit what FIFO
 // would keep, and never change answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -208,22 +209,36 @@ TEST(ReliabilityIndexTest, ApplyBankUpdateResetsReachCacheStats) {
             rebuilt.stats().reach_rows_cached);
 }
 
+// Bytes of one cached source: a uint32 reach count per node.
+size_t CountRowBytes(const UncertainGraph& g) {
+  return static_cast<size_t>(g.num_nodes()) * sizeof(uint32_t);
+}
+
 TEST(ReliabilityIndexTest, ReachRowCacheEvictsWithoutChangingAnswers) {
   const UncertainGraph g = RandomGraph(131, 12, 0.25, true);
   const WorldBank bank(g, {.num_samples = 128, .seed = 19});
-  // Cap the cache at roughly two reach rows (n rows × 2 words × 8 bytes
-  // each), so sweeping all sources must evict.
+  // Cap the cache at two sources' counts, so sweeping all sources must
+  // evict.
   ReliabilityIndex::Options options;
-  options.max_reach_bytes = static_cast<size_t>(g.num_nodes()) * 2 * 8 * 2;
+  options.max_reach_bytes = 2 * CountRowBytes(g);
   ReliabilityIndex index(bank, options);
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     for (NodeId t = 0; t < g.num_nodes(); ++t) {
-      EXPECT_EQ(index.ConnectedWorlds(s, t), FloodRow(bank, s, t))
+      EXPECT_EQ(index.Query(s, t),
+                bank.ConnectedFraction(s, t, bank.AllEdges(), {}))
           << "(" << s << ", " << t << ")";
     }
+    // A whole-row batch per source, answered partly from the cache.
+    std::vector<StQuery> row;
+    for (NodeId t = 0; t < g.num_nodes(); ++t) row.push_back({s, t});
+    const std::vector<double> values = index.QueryBatch(row);
+    for (NodeId t = 0; t < g.num_nodes(); ++t) {
+      EXPECT_EQ(values[t], bank.ConnectedFraction(s, t, bank.AllEdges(), {}))
+          << "(" << s << ", " << t << ")";
+    }
+    EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
   }
   EXPECT_GT(index.stats().reach_row_evictions, 0u);
-  EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
 }
 
 // Pairs (s, t) with s != t drawn from `rng`.
@@ -277,7 +292,7 @@ TEST(ReliabilityIndexTest, ColdBatchFloodsEachResidualSourceOnce) {
 TEST(ReliabilityIndexTest, TinyReachCapKeepsAnswersAndStaysUnderCap) {
   const UncertainGraph g = RandomGraph(151, 16, 0.18, true);
   const WorldBank bank(g, {.num_samples = 128, .seed = 37});
-  const size_t row_bytes = static_cast<size_t>(g.num_nodes()) * 2 * 8;
+  const size_t row_bytes = CountRowBytes(g);
   // Below one row (nothing is ever cached), one row, and three rows.
   for (const size_t cap : {row_bytes / 2, row_bytes, 3 * row_bytes}) {
     ReliabilityIndex::Options options;
@@ -308,7 +323,7 @@ TEST(ReliabilityIndexTest, BatchAdmitsTheRowsFifoWouldKeep) {
   for (NodeId v = 0; v + 1 < 5; ++v) ASSERT_TRUE(g.AddEdge(v, v + 1, 0.5).ok());
   const WorldBank bank(g, {.num_samples = 64, .seed = 41});
   ReliabilityIndex::Options options;
-  options.max_reach_bytes = 2 * 5 * 8;  // two rows of 5 nodes x 1 word
+  options.max_reach_bytes = 2 * CountRowBytes(g);  // two sources' counts
   ReliabilityIndex index(bank, options);
   // Flood order 3, 0, 2, 1: FIFO insertion keeps the last two, {2, 1}.
   const std::vector<StQuery> first = {{3, 4}, {0, 4}, {3, 0}, {2, 4}, {1, 4}};
@@ -338,12 +353,68 @@ TEST(ReliabilityIndexTest, QueryIsAOnePairBatch) {
       const StQuery pair{s, t};
       const double value = single.Query(s, t);
       EXPECT_EQ(value, batched.QueryBatch({&pair, 1})[0]);
+      // ConnectedWorlds floods on its own: no reach count read or counted.
+      const size_t floods = single.stats().reach_floods;
       EXPECT_EQ(value, static_cast<double>(WorldBank::CountBits(
                            single.ConnectedWorlds(s, t), 200)) /
                            200);
+      EXPECT_EQ(single.stats().reach_floods, floods);
     }
   }
   EXPECT_EQ(single.stats().reach_floods, batched.stats().reach_floods);
+}
+
+TEST(ReliabilityIndexTest, WarmCacheAnswersFreshPairsWithoutFlooding) {
+  const UncertainGraph g = RandomGraph(163, 24, 0.12, true);
+  const WorldBank bank(g, {.num_samples = 200, .seed = 47});
+  ReliabilityIndex::Options options;
+  options.max_reach_bytes = g.num_nodes() * CountRowBytes(g);
+  options.num_threads = 2;
+  ReliabilityIndex index(bank, options);
+  // Every pair: each source with a residual pair gets its counts cached.
+  std::vector<StQuery> warm;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); ++t) warm.push_back({s, t});
+  }
+  index.QueryBatch(warm);
+  const size_t floods = index.stats().reach_floods;
+  ASSERT_GT(floods, 0u);
+  EXPECT_EQ(index.reach_cache_bytes(),
+            index.stats().reach_rows_cached * CountRowBytes(g));
+  EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
+
+  Rng rng(5);
+  const std::vector<StQuery> fresh = RandomPairs(rng, g.num_nodes(), 300);
+  const std::vector<double> values = index.QueryBatch(fresh);
+  EXPECT_EQ(index.stats().reach_floods, floods);
+  EXPECT_EQ(index.stats().reach_row_evictions, 0u);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(values[i], bank.ConnectedFraction(fresh[i].s, fresh[i].t,
+                                                bank.AllEdges(), {}))
+        << "pair " << i;
+  }
+  EXPECT_EQ(index.reach_cache_bytes(),
+            index.stats().reach_rows_cached * CountRowBytes(g));
+  EXPECT_LE(index.reach_cache_bytes(), options.max_reach_bytes);
+}
+
+TEST(ReliabilityIndexTest, CountBitsEqualsReferencePopcount) {
+  Rng rng(67);
+  for (const size_t words : {1u, 2u, 5u, 32u}) {
+    std::vector<uint64_t> bits(words);
+    for (uint64_t& word : bits) word = rng.Next();
+    // Every limit up to and past the span, so each tail mask (Z % 64 != 0)
+    // and the all-words case are covered.
+    for (size_t limit = 0; limit <= 64 * words + 70; ++limit) {
+      int64_t reference = 0;
+      for (size_t bit = 0; bit < std::min(limit, 64 * words); ++bit) {
+        reference += (bits[bit >> 6] >> (bit & 63)) & 1;
+      }
+      EXPECT_EQ(WorldView::CountBits(bits, limit), reference)
+          << words << " words, limit " << limit;
+    }
+  }
+  EXPECT_EQ(WorldView::CountBits({}, 64), 0);
 }
 
 TEST(ReliabilityIndexTest, FitsAndFootprint) {

@@ -478,6 +478,91 @@ TEST(CliFlagsTest, BadNumericFlagsFailWithoutAbort) {
             2);
 }
 
+// A malformed --sources/--targets item is a typed error (exit 1), never an
+// uncaught exception: non-numeric, empty, negative and out-of-range items.
+TEST(CliFlagsTest, BadNodeListsFailWithoutAbort) {
+  const std::string graph = WriteExample3Graph();
+  const std::string multi = "multi --graph " + graph + " ";
+  std::string out;
+  for (const char* list : {"a", "1,,2", "1,", ",1", "-1", "1x", "4294967296",
+                           "99999999999999999999"}) {
+    EXPECT_EQ(RunCliExitCode(multi + "--sources " + list + " --targets 1",
+                             &out),
+              1)
+        << list;
+    EXPECT_NE(out.find("--sources expects comma-separated node ids"),
+              std::string::npos)
+        << out;
+    EXPECT_EQ(RunCliExitCode(multi + "--sources 0 --targets " + list, &out),
+              1)
+        << list;
+    EXPECT_NE(out.find("--targets expects comma-separated node ids"),
+              std::string::npos)
+        << out;
+  }
+}
+
+// Int-typed flags reject values their type cannot hold instead of wrapping
+// them: --s 4294967296 used to answer R(0, t), and --threads 3000000000 used
+// to wrap negative (all cores). Each value here is rejected before any
+// sampling thread starts.
+TEST(CliFlagsTest, OutOfRangeIntFlagsAreTypedErrors) {
+  const std::string graph = WriteExample3Graph();
+  const std::string queries = WriteExample3Queries();
+  std::string out;
+  const std::string node_range = "must be in [0, 4294967295]";
+  for (const std::string command : {"estimate", "solve", "budget"}) {
+    for (const char* value : {"4294967296", "-1"}) {
+      const std::string base = command + " --graph " + graph + " ";
+      EXPECT_EQ(RunCliExitCode(base + "--s " + value + " --t 3", &out), 1)
+          << command << " --s " << value;
+      EXPECT_NE(out.find("--s " + node_range), std::string::npos) << out;
+      EXPECT_EQ(RunCliExitCode(base + "--s 0 --t " + value, &out), 1)
+          << command << " --t " << value;
+      EXPECT_NE(out.find("--t " + node_range), std::string::npos) << out;
+    }
+  }
+  const std::string int_range = "must be in [-2147483648, 2147483647]";
+  const std::string solve = "solve --graph " + graph + " --s 0 --t 3 ";
+  for (const char* flag : {"k", "r", "l", "h", "elim-samples", "threads"}) {
+    EXPECT_EQ(RunCliExitCode(solve + "--" + flag + " 3000000000", &out), 1)
+        << flag;
+    EXPECT_NE(out.find(std::string("--") + flag + " " + int_range),
+              std::string::npos)
+        << out;
+  }
+  const std::string budget = "budget --graph " + graph + " --s 0 --t 3 ";
+  for (const char* flag : {"units", "max-edges"}) {
+    EXPECT_EQ(RunCliExitCode(budget + "--" + flag + " -3000000000", &out), 1)
+        << flag;
+    EXPECT_NE(out.find(std::string("--") + flag + " " + int_range),
+              std::string::npos)
+        << out;
+  }
+  const std::string estimate = "estimate --graph " + graph + " --s 0 --t 3 ";
+  EXPECT_EQ(RunCliExitCode(estimate + "--threads 3000000000", &out), 1);
+  EXPECT_NE(out.find("--threads " + int_range), std::string::npos) << out;
+  const std::string batch =
+      "batch --graph " + graph + " --queries " + queries + " ";
+  EXPECT_EQ(RunCliExitCode(batch + "--threads 3000000000", &out), 1);
+  EXPECT_NE(out.find("--threads " + int_range), std::string::npos) << out;
+  for (const char* value : {"0", "4294967297"}) {
+    EXPECT_EQ(RunCliExitCode(batch + "--partitions " + value, &out), 1)
+        << value;
+    EXPECT_NE(out.find("--partitions must be in [1, 2147483647]"),
+              std::string::npos)
+        << out;
+  }
+  const std::string serve = "serve --graph " + graph + " ";
+  EXPECT_EQ(RunCliExitCode(serve + "--window-us 4294967296", &out), 1);
+  EXPECT_NE(out.find("--window-us must be in [0, 2147483647]"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(RunCliExitCode(serve + "--lanes 4294967297", &out), 1);
+  EXPECT_NE(out.find("--lanes must be in [1, 2147483647]"), std::string::npos)
+      << out;
+}
+
 
 }  // namespace
 }  // namespace relmax

@@ -34,11 +34,13 @@
 // snapshots, typed shed responses under overload. Query responses are
 // bit-identical to `batch` rows for the same (version, estimator, seed, Z,
 // query) tuple, so scripted streams diff cleanly against batch output.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -83,17 +85,64 @@ StatusOr<UncertainGraph> LoadGraph(const Flags& flags) {
   return ReadEdgeList(path);
 }
 
-std::vector<NodeId> ParseNodeList(const std::string& csv) {
+// An integer flag that must lie in [lo, hi]. Flags::GetInt already exits 2
+// on a value that is not an int64; this rejects the values the caller's type
+// or contract cannot hold, where a narrowing cast would silently wrap them.
+StatusOr<int64_t> RangedFlag(const Flags& flags, const std::string& name,
+                             int64_t def, int64_t lo, int64_t hi) {
+  const int64_t value = flags.GetInt(name, def);
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument("--" + name + " must be in [" +
+                                   std::to_string(lo) + ", " +
+                                   std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+// An int-typed flag: any value that fits `int`, or at least `lo`.
+StatusOr<int> IntFlag(const Flags& flags, const std::string& name, int def,
+                      int lo = std::numeric_limits<int>::min()) {
+  const auto value =
+      RangedFlag(flags, name, def, lo, std::numeric_limits<int>::max());
+  RELMAX_RETURN_IF_ERROR(value.status());
+  return static_cast<int>(*value);
+}
+
+// A node-id flag (--s, --t): must fit NodeId. Whether the node exists is the
+// command's own check.
+StatusOr<NodeId> NodeFlag(const Flags& flags, const std::string& name) {
+  const auto value =
+      RangedFlag(flags, name, 0, 0, std::numeric_limits<NodeId>::max());
+  RELMAX_RETURN_IF_ERROR(value.status());
+  return static_cast<NodeId>(*value);
+}
+
+// A comma-separated node list (--sources, --targets). Every item must be a
+// base-10 node id that fits NodeId; an empty item (`1,,2`, a trailing comma)
+// is an error, not a silent skip. An empty string is the empty list.
+StatusOr<std::vector<NodeId>> ParseNodeList(const std::string& flag,
+                                            const std::string& csv) {
   std::vector<NodeId> nodes;
+  if (csv.empty()) return nodes;
   size_t pos = 0;
-  while (pos < csv.size()) {
+  while (true) {
     size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    nodes.push_back(
-        static_cast<NodeId>(std::stoul(csv.substr(pos, comma - pos))));
+    const char* const first = csv.data() + pos;
+    const char* const last = csv.data() + comma;
+    uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (first == last || ec != std::errc() || end != last ||
+        value > std::numeric_limits<NodeId>::max()) {
+      return Status::InvalidArgument(
+          "--" + flag + " expects comma-separated node ids in [0, " +
+          std::to_string(std::numeric_limits<NodeId>::max()) + "], got '" +
+          std::string(first, last) + "'");
+    }
+    nodes.push_back(static_cast<NodeId>(value));
+    if (comma == csv.size()) return nodes;
     pos = comma + 1;
   }
-  return nodes;
 }
 
 // Unknown flag values fail loudly: a typo like --estimator=rrs silently
@@ -108,22 +157,13 @@ StatusOr<Estimator> ParseEstimator(const Flags& flags) {
 // --partitions must be a positive shard count; 0 or negative is a flag error,
 // not a silent fallback to flat.
 StatusOr<int> ParsePartitions(const Flags& flags) {
-  const int partitions = static_cast<int>(flags.GetInt("partitions", 1));
-  if (partitions <= 0) {
-    return Status::InvalidArgument("--partitions must be >= 1");
-  }
-  return partitions;
+  return IntFlag(flags, "partitions", 1, /*lo=*/1);
 }
 
-// --samples is a world count Z (default 2000): it must be positive and fit an
-// int. Zero or negative would reach the samplers' and engines' RELMAX_CHECK
-// and abort.
-StatusOr<int> ParseSamples(const Flags& flags) {
-  const int64_t samples = flags.GetInt("samples", 2000);
-  if (samples <= 0 || samples > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("--samples must be in [1, 2147483647]");
-  }
-  return static_cast<int>(samples);
+// --samples is a world count Z: it must be positive and fit an int. Zero or
+// negative would reach the samplers' and engines' RELMAX_CHECK and abort.
+StatusOr<int> ParseSamples(const Flags& flags, int def = 2000) {
+  return IntFlag(flags, "samples", def, /*lo=*/1);
 }
 
 // Warns (once per process) when the user asked for more shards than the graph
@@ -141,16 +181,22 @@ void WarnIfPartitionsExceedNodes(int partitions, const UncertainGraph& g) {
 
 StatusOr<SolverOptions> OptionsFromFlags(const Flags& flags) {
   SolverOptions options;
-  options.budget_k = static_cast<int>(flags.GetInt("k", 10));
+  for (const auto& [name, field, def] :
+       {std::tuple{"k", &SolverOptions::budget_k, 10},
+        std::tuple{"r", &SolverOptions::top_r, 100},
+        std::tuple{"l", &SolverOptions::top_l, 30},
+        std::tuple{"h", &SolverOptions::hop_h, 3},
+        std::tuple{"elim-samples", &SolverOptions::elimination_samples, 500},
+        std::tuple{"threads", &SolverOptions::num_threads, 1}}) {
+    const auto value = IntFlag(flags, name, def);
+    RELMAX_RETURN_IF_ERROR(value.status());
+    options.*field = *value;
+  }
+  const auto samples = ParseSamples(flags, 500);
+  RELMAX_RETURN_IF_ERROR(samples.status());
+  options.num_samples = *samples;
   options.zeta = flags.GetDouble("zeta", 0.5);
-  options.top_r = static_cast<int>(flags.GetInt("r", 100));
-  options.top_l = static_cast<int>(flags.GetInt("l", 30));
-  options.hop_h = static_cast<int>(flags.GetInt("h", 3));
-  options.num_samples = static_cast<int>(flags.GetInt("samples", 500));
-  options.elimination_samples =
-      static_cast<int>(flags.GetInt("elim-samples", 500));
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   auto partitions = ParsePartitions(flags);
   RELMAX_RETURN_IF_ERROR(partitions.status());
@@ -206,15 +252,18 @@ int CmdEstimate(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
-  if (s >= graph->num_nodes() || t >= graph->num_nodes()) {
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
+  if (*s >= graph->num_nodes() || *t >= graph->num_nodes()) {
     return Fail("query node out of range");
   }
   const auto samples = ParseSamples(flags);
   if (!samples.ok()) return Fail(samples.status().ToString());
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  const auto threads = IntFlag(flags, "threads", 1);
+  if (!threads.ok()) return Fail(threads.status().ToString());
   // estimate never builds a bank, but the --partitions contract (reject <= 0)
   // holds on every command that admits the flag.
   const auto partitions = ParsePartitions(flags);
@@ -226,15 +275,15 @@ int CmdEstimate(const Flags& flags) {
   double reliability;
   if (*estimator == Estimator::kRss) {
     reliability = EstimateReliabilityRss(
-        *graph, s, t,
-        {.num_samples = *samples, .seed = seed, .num_threads = threads});
+        *graph, *s, *t,
+        {.num_samples = *samples, .seed = seed, .num_threads = *threads});
   } else {
     reliability = EstimateReliability(
-        *graph, s, t,
-        {.num_samples = *samples, .seed = seed, .num_threads = threads});
+        *graph, *s, *t,
+        {.num_samples = *samples, .seed = seed, .num_threads = *threads});
   }
-  std::printf("R(%u, %u) = %.4f   (%d samples, %.3f s)\n", s, t, reliability,
-              *samples, timer.ElapsedSeconds());
+  std::printf("R(%u, %u) = %.4f   (%d samples, %.3f s)\n", *s, *t,
+              reliability, *samples, timer.ElapsedSeconds());
   return 0;
 }
 
@@ -242,8 +291,10 @@ int CmdSolve(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
@@ -259,7 +310,7 @@ int CmdSolve(const Flags& flags) {
     return Fail("unknown --method (want be|ip|mrp): " + method_name);
   }
   WallTimer timer;
-  auto solution = MaximizeReliability(*graph, s, t, *options, method);
+  auto solution = MaximizeReliability(*graph, *s, *t, *options, method);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf("method %s: reliability %.4f -> %.4f (gain %.4f) in %.2f s\n",
               CoreMethodName(method), solution->reliability_before,
@@ -278,11 +329,13 @@ int CmdSolve(const Flags& flags) {
 int CmdMulti(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
-  const std::vector<NodeId> sources =
-      ParseNodeList(flags.GetString("sources", ""));
-  const std::vector<NodeId> targets =
-      ParseNodeList(flags.GetString("targets", ""));
-  if (sources.empty() || targets.empty()) {
+  const auto sources =
+      ParseNodeList("sources", flags.GetString("sources", ""));
+  if (!sources.ok()) return Fail(sources.status().ToString());
+  const auto targets =
+      ParseNodeList("targets", flags.GetString("targets", ""));
+  if (!targets.ok()) return Fail(targets.status().ToString());
+  if (sources->empty() || targets->empty()) {
     return Fail("need --sources a,b,... and --targets c,d,...");
   }
   const std::string agg_name = flags.GetString("aggregate", "avg");
@@ -300,7 +353,7 @@ int CmdMulti(const Flags& flags) {
   if (!options.ok()) return Fail(options.status().ToString());
   WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
   WallTimer timer;
-  auto solution = MaximizeMultiReliability(*graph, sources, targets,
+  auto solution = MaximizeMultiReliability(*graph, *sources, *targets,
                                            aggregate, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf("%s aggregate: %.4f -> %.4f (gain %.4f) in %.2f s\n",
@@ -317,18 +370,24 @@ int CmdBudget(const Flags& flags) {
   auto graph = LoadGraph(flags);
   if (!graph.ok()) return Fail(graph.status().ToString());
   if (!flags.Has("s") || !flags.Has("t")) return Fail("need --s and --t");
-  const NodeId s = static_cast<NodeId>(flags.GetInt("s", 0));
-  const NodeId t = static_cast<NodeId>(flags.GetInt("t", 0));
+  const auto s = NodeFlag(flags, "s");
+  if (!s.ok()) return Fail(s.status().ToString());
+  const auto t = NodeFlag(flags, "t");
+  if (!t.ok()) return Fail(t.status().ToString());
   BudgetOptions budget;
   budget.total_budget = flags.GetDouble("budget", 2.0);
-  budget.max_edges = static_cast<int>(flags.GetInt("max-edges", 10));
-  budget.units = static_cast<int>(flags.GetInt("units", 20));
+  const auto max_edges = IntFlag(flags, "max-edges", 10);
+  if (!max_edges.ok()) return Fail(max_edges.status().ToString());
+  budget.max_edges = *max_edges;
+  const auto units = IntFlag(flags, "units", 20);
+  if (!units.ok()) return Fail(units.status().ToString());
+  budget.units = *units;
   budget.max_edge_prob = flags.GetDouble("max-edge-prob", 0.95);
   const auto options = OptionsFromFlags(flags);
   if (!options.ok()) return Fail(options.status().ToString());
   WarnIfPartitionsExceedNodes(options->num_partitions, *graph);
   auto solution = MaximizeReliabilityWithProbabilityBudget(
-      *graph, s, t, budget, *options);
+      *graph, *s, *t, budget, *options);
   if (!solution.ok()) return Fail(solution.status().ToString());
   std::printf(
       "budget %.2f (used %.2f): reliability %.4f -> %.4f (gain %.4f)\n",
@@ -350,7 +409,9 @@ StatusOr<WorldViewOptions> WorldOptionsFromFlags(const Flags& flags) {
   RELMAX_RETURN_IF_ERROR(samples.status());
   options.num_samples = *samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  const auto threads = IntFlag(flags, "threads", 1);
+  RELMAX_RETURN_IF_ERROR(threads.status());
+  options.num_threads = *threads;
   const auto partitions = ParsePartitions(flags);
   RELMAX_RETURN_IF_ERROR(partitions.status());
   options.num_partitions = *partitions;
@@ -427,7 +488,9 @@ int CmdBatch(const Flags& flags) {
   if (!samples.ok()) return Fail(samples.status().ToString());
   options.num_samples = *samples;
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  const auto threads = IntFlag(flags, "threads", 1);
+  if (!threads.ok()) return Fail(threads.status().ToString());
+  options.num_threads = *threads;
   options.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.use_index = flags.GetBool("index", false);
   options.index_file = flags.GetString("index-file", "");
@@ -492,7 +555,9 @@ int CmdServe(const Flags& flags) {
   if (!samples.ok()) return Fail(samples.status().ToString());
   options.engine.num_samples = *samples;
   options.engine.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  options.engine.num_threads = static_cast<int>(flags.GetInt("threads", 1));
+  const auto threads = IntFlag(flags, "threads", 1);
+  if (!threads.ok()) return Fail(threads.status().ToString());
+  options.engine.num_threads = *threads;
   options.engine.reuse_worlds = flags.GetBool("reuse-worlds", true);
   options.engine.use_index = flags.GetBool("index", false);
   options.engine.index_file = flags.GetString("index-file", "");
@@ -503,16 +568,18 @@ int CmdServe(const Flags& flags) {
   const auto estimator = ParseEstimator(flags);
   if (!estimator.ok()) return Fail(estimator.status().ToString());
   options.engine.estimator = *estimator;
-  options.window_us = static_cast<int>(flags.GetInt("window-us", 2000));
-  if (options.window_us < 0) return Fail("--window-us must be >= 0");
+  const auto window_us = IntFlag(flags, "window-us", 2000, /*lo=*/0);
+  if (!window_us.ok()) return Fail(window_us.status().ToString());
+  options.window_us = *window_us;
   const int64_t max_batch = flags.GetInt("max-batch", 256);
   if (max_batch < 1) return Fail("--max-batch must be >= 1");
   options.max_batch = static_cast<size_t>(max_batch);
   const int64_t max_queue = flags.GetInt("max-queue", 1024);
   if (max_queue < 0) return Fail("--max-queue must be >= 0");
   options.max_queue = static_cast<size_t>(max_queue);
-  options.lanes = static_cast<int>(flags.GetInt("lanes", 1));
-  if (options.lanes < 1) return Fail("--lanes must be >= 1");
+  const auto lanes = IntFlag(flags, "lanes", 1, /*lo=*/1);
+  if (!lanes.ok()) return Fail(lanes.status().ToString());
+  options.lanes = *lanes;
 
   serve::Server server(std::move(*graph), options);
   if (flags.Has("port")) {
